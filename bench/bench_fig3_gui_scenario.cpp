@@ -1,12 +1,15 @@
 /// E2 — reproduces the Figure-3 GUI scenario: a TOP-3 query over a 14-node
-/// sensor network organized in 6 clusters, executed through the KSpot
-/// server with the System Panel's live savings accounting — the demo loop
-/// of Section IV-B, reduced to its metrics.
+/// sensor network organized in 6 clusters, served by a coordinator session
+/// with the System Panel's live savings accounting against a TAG shadow —
+/// the demo loop of Section IV-B, reduced to its metrics.
 #include <stdexcept>
 
 #include "bench_util.hpp"
+#include "kspot/coordinator.hpp"
 #include "kspot/scenario_config.hpp"
-#include "kspot/server.hpp"
+#include "kspot/system_panel.hpp"
+#include "kspot/tag_shadow.hpp"
+#include "query/parser.hpp"
 #include "scenarios.hpp"
 
 namespace kspot::bench {
@@ -47,21 +50,32 @@ void RegisterFig3GuiScenario(runner::ScenarioRegistry& registry) {
     t.spec.algorithm = "MINT";
     t.spec.seed = seed;
     t.run = [=]() -> runner::MetricList {
-      system::Scenario scenario = MakeFig3Deployment(floor_seed);
-      system::KSpotServer::Options server_opt;
-      server_opt.epochs = epochs;
-      server_opt.seed = seed;
-      system::KSpotServer server(scenario, server_opt);
-      auto outcome = server.Execute(
-          "SELECT TOP 3 roomid, AVG(sound) FROM sensors GROUP BY roomid EPOCH DURATION 1 min");
-      if (!outcome.ok()) {
-        throw std::runtime_error("query failed: " + outcome.status().message());
+      const char* sql =
+          "SELECT TOP 3 roomid, AVG(sound) FROM sensors GROUP BY roomid EPOCH DURATION 1 min";
+      system::QueryCoordinator::Options opt;
+      opt.epochs = epochs;
+      opt.seed = seed;
+      system::QueryCoordinator coordinator(MakeFig3Deployment(floor_seed), opt);
+      auto admitted = coordinator.Admit(sql);
+      if (!admitted.ok()) {
+        throw std::runtime_error("query failed: " + admitted.status().message());
       }
-      const auto& result = outcome.value();
-      return {{"epochs", static_cast<double>(result.per_epoch.size())},
-              {"msg_savings_pct", result.panel.MessageSavingsPercent()},
-              {"byte_savings_pct", result.panel.ByteSavingsPercent()},
-              {"energy_savings_pct", result.panel.EnergySavingsPercent()}};
+      // The System Panel: the session's bill against the TAG shadow's.
+      system::TagShadow shadow(coordinator.deployment(), opt, query::Parse(sql).value());
+      system::SystemPanel panel;
+      if (!coordinator.Open().ok()) throw std::runtime_error("session failed to open");
+      for (size_t e = 0; e < epochs; ++e) {
+        auto step = coordinator.StepEpoch();
+        if (!step.ok()) throw std::runtime_error("epoch failed: " + step.status().message());
+        panel.RecordKspotEpoch(step.value().epoch_cost);
+        panel.RecordBaselineEpoch(shadow.Step(step.value().epoch));
+      }
+      auto report = coordinator.Close();
+      if (!report.ok()) throw std::runtime_error("close failed: " + report.status().message());
+      return {{"epochs", static_cast<double>(report.value().outcomes.at(0).per_epoch.size())},
+              {"msg_savings_pct", panel.MessageSavingsPercent()},
+              {"byte_savings_pct", panel.ByteSavingsPercent()},
+              {"energy_savings_pct", panel.EnergySavingsPercent()}};
     };
     trials.push_back(std::move(t));
     return trials;

@@ -10,9 +10,12 @@
 #include "core/naive.hpp"
 #include "core/oracle.hpp"
 #include "data/generators.hpp"
+#include "kspot/coordinator.hpp"
 #include "kspot/display_panel.hpp"
 #include "kspot/scenario_config.hpp"
-#include "kspot/server.hpp"
+#include "kspot/system_panel.hpp"
+#include "kspot/tag_shadow.hpp"
+#include "query/parser.hpp"
 
 using namespace kspot;
 
@@ -43,15 +46,15 @@ void Figure1Anomaly() {
   std::printf("\nnaive local pruning reports: (%s, %.1f)  <-- WRONG: s4 eliminated (D, 39)\n",
               sim::Figure1RoomName(wrong.items.at(0).group).c_str(), wrong.items[0].value);
 
-  system::KSpotServer::Options opt;
+  system::QueryCoordinator::Options opt;
   opt.epochs = 1;
   opt.make_generator = [](const system::Scenario&, uint64_t) {
     return std::make_unique<data::ConstantGenerator>(sim::Figure1Readings());
   };
-  system::KSpotServer server(fig1, opt);
-  auto outcome =
-      server.Execute("SELECT TOP 1 roomid, AVERAGE(sound) FROM sensors GROUP BY roomid");
-  const auto& item = outcome.value().per_epoch.at(0).items.at(0);
+  system::QueryCoordinator coordinator(fig1, opt);
+  (void)coordinator.Admit("SELECT TOP 1 roomid, AVERAGE(sound) FROM sensors GROUP BY roomid");
+  auto report = coordinator.Run();
+  const auto& item = report.value().outcomes.at(0).per_epoch.at(0).items.at(0);
   std::printf("KSpot (MINT) reports:        (%s, %.1f)  <-- correct\n\n",
               fig1.ClusterName(item.group).c_str(), item.value);
 }
@@ -59,26 +62,37 @@ void Figure1Anomaly() {
 void LiveMonitor() {
   std::printf("--- Part 2: the live conference monitor (Figure 3 / Section IV-B) ---\n\n");
   system::Scenario floor = system::Scenario::ConferenceFloor(6, 3, 2009);
-  system::KSpotServer::Options opt;
+  system::QueryCoordinator::Options opt;
   opt.epochs = 25;
   opt.seed = 2009;
-  system::KSpotServer server(floor, opt);
-  system::DisplayPanel panel(&server.scenario(), 64, 14);
+  system::QueryCoordinator coordinator(floor, opt);
+  system::DisplayPanel panel(&coordinator.deployment().scenario, 64, 14);
   std::printf("%s\n", panel.RenderMap().c_str());
 
-  auto outcome = server.ExecuteStreaming(
-      "SELECT TOP 3 roomid, AVG(sound) FROM sensors GROUP BY roomid EPOCH DURATION 1 min",
-      [&](const core::TopKResult& r, const system::SystemPanel& sys) {
-        if (r.epoch % 6 == 0) {
-          std::printf("%s", panel.RenderBullets(r).c_str());
-          if (r.epoch == 24) std::printf("\n%s", sys.Render().c_str());
-        }
-      });
-  if (!outcome.ok()) {
-    std::printf("error: %s\n", outcome.status().message().c_str());
+  const char* sql =
+      "SELECT TOP 3 roomid, AVG(sound) FROM sensors GROUP BY roomid EPOCH DURATION 1 min";
+  auto admitted = coordinator.Admit(sql);
+  if (!admitted.ok()) {
+    std::printf("error: %s\n", admitted.status().message().c_str());
     return;
   }
-  std::printf("\n%s", outcome.value().panel.Render().c_str());
+  // The System Panel's savings: the session against a TAG shadow run over
+  // the same data.
+  system::TagShadow shadow(coordinator.deployment(), opt, query::Parse(sql).value());
+  system::SystemPanel sys;
+  (void)coordinator.Open();
+  for (size_t e = 0; e < opt.epochs; ++e) {
+    system::EpochUpdate update = coordinator.StepEpoch().value();
+    sys.RecordKspotEpoch(update.epoch_cost);
+    sys.RecordBaselineEpoch(shadow.Step(update.epoch));
+    const core::TopKResult& r = *update.groups[0].result;
+    if (r.epoch % 6 == 0) {
+      std::printf("%s", panel.RenderBullets(r).c_str());
+      if (r.epoch == 24) std::printf("\n%s", sys.Render().c_str());
+    }
+  }
+  (void)coordinator.Close();
+  std::printf("\n%s", sys.Render().c_str());
 }
 
 }  // namespace

@@ -6,8 +6,10 @@
 #include <cstdio>
 
 #include "core/tja.hpp"
+#include "kspot/coordinator.hpp"
 #include "kspot/scenario_config.hpp"
-#include "kspot/server.hpp"
+#include "kspot/tag_shadow.hpp"
+#include "query/parser.hpp"
 #include "sim/network.hpp"
 #include "storage/history_store.hpp"
 #include "util/fixed_point.hpp"
@@ -70,27 +72,31 @@ int main() {
 
   // Phase 3: the same audit through the declarative front end.
   std::printf("\n--- the same audit through SQL ---\n");
-  system::KSpotServer::Options sopt;
+  system::QueryCoordinator::Options sopt;
   sopt.seed = kSeed;
-  system::KSpotServer server(scenario, sopt);
+  system::QueryCoordinator coordinator(scenario, sopt);
   const char* sql =
       "SELECT TOP 5 epoch, AVG(sound) FROM sensors GROUP BY epoch WITH HISTORY 240";
   std::printf("query> %s\n", sql);
-  auto outcome = server.Execute(sql);
-  if (!outcome.ok()) {
-    std::printf("error: %s\n", outcome.status().message().c_str());
+  if (auto admitted = coordinator.Admit(sql); !admitted.ok()) {
+    std::printf("error: %s\n", admitted.status().message().c_str());
     return 1;
   }
+  // The session runs the one-shot TJA when it opens; the TAG shadow's first
+  // step ships the same buffered windows whole (TAG-H) for comparison.
+  system::TagShadow shadow(coordinator.deployment(), sopt, query::Parse(sql).value());
+  (void)coordinator.Open();
+  sim::TrafficCounters baseline = shadow.Step(0);
+  system::CoordinatorReport report = coordinator.Close().value();
+  const system::QueryOutcome& audit = report.outcomes.at(0);
   std::printf("routed to: %s; answered with %zu candidates in %d round(s); bytes: %llu "
               "(baseline TAG-H: %llu)\n",
-              outcome.value().algorithm.c_str(), outcome.value().historic.lsink_size,
-              outcome.value().historic.rounds,
-              static_cast<unsigned long long>(outcome.value().cost.payload_bytes),
-              static_cast<unsigned long long>(outcome.value().baseline_cost.payload_bytes));
-  for (size_t i = 0; i < outcome.value().historic.items.size(); ++i) {
-    std::printf("  %zu. window slot %3d  avg %.2f\n", i + 1,
-                outcome.value().historic.items[i].group,
-                outcome.value().historic.items[i].value);
+              audit.algorithm.c_str(), audit.historic.lsink_size, audit.historic.rounds,
+              static_cast<unsigned long long>(report.total.payload_bytes),
+              static_cast<unsigned long long>(baseline.payload_bytes));
+  for (size_t i = 0; i < audit.historic.items.size(); ++i) {
+    std::printf("  %zu. window slot %3d  avg %.2f\n", i + 1, audit.historic.items[i].group,
+                audit.historic.items[i].value);
   }
   return 0;
 }

@@ -15,7 +15,6 @@
 
 #include "kspot/coordinator.hpp"
 #include "kspot/scenario_config.hpp"
-#include "kspot/server.hpp"
 
 using namespace kspot;
 
@@ -74,15 +73,13 @@ int main() {
   }
 
   // What would the same six queries cost served one at a time?
-  system::KSpotServer::Options server_opt;
-  server_opt.epochs = opt.epochs;
-  server_opt.seed = opt.seed;
-  server_opt.run_baseline = false;
-  system::KSpotServer server(floor, server_opt);
+  system::QueryCoordinator sequential(floor, opt);
   uint64_t sequential_msgs = 0;
   for (const char* sql : queries) {
-    auto outcome = server.Execute(sql);
-    if (outcome.ok()) sequential_msgs += outcome.value().cost.messages;
+    auto id = sequential.Admit(sql);
+    auto alone = sequential.Run();
+    if (alone.ok()) sequential_msgs += alone.value().total.messages;
+    (void)sequential.Cancel(id.value());
   }
   std::printf("\nshared data plane: %llu msgs   sequential per-query serving: %llu msgs "
               "(%.1fx)\n",

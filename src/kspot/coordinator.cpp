@@ -6,7 +6,6 @@
 #include <map>
 #include <utility>
 
-#include "agg/aggregate.hpp"
 #include "core/historic_stream.hpp"
 #include "core/history_source.hpp"
 #include "core/mint.hpp"
@@ -50,8 +49,7 @@ OperatorPlan PlanFor(const query::ParsedQuery& parsed, query::QueryClass cls,
                      const Scenario& scenario) {
   OperatorPlan plan;
   plan.spec = SpecFromQuery(parsed, scenario);
-  plan.window =
-      parsed.history > 0 ? static_cast<size_t>(parsed.history) : Deployment::kDefaultWindow;
+  plan.window = HistoryWindow(parsed);
   switch (cls) {
     case query::QueryClass::kBasicSelect:
       if (parsed.FirstAggregate() != nullptr && !parsed.group_by.empty()) {
@@ -68,13 +66,10 @@ OperatorPlan PlanFor(const query::ParsedQuery& parsed, query::QueryClass cls,
     case query::QueryClass::kHistoricHorizontal:
       plan.kind = OpKind::kHorizontal;
       break;
-    case query::QueryClass::kHistoricVertical: {
+    case query::QueryClass::kHistoricVertical:
       plan.kind = OpKind::kVertical;
-      plan.historic.k = std::max(1, parsed.top_k);
-      const query::SelectItem* agg_item = parsed.FirstAggregate();
-      if (agg_item != nullptr) agg::ParseAggKind(agg_item->aggregate, &plan.historic.agg);
+      plan.historic = HistoricFromQuery(parsed);
       break;
-    }
   }
   return plan;
 }
@@ -182,30 +177,19 @@ struct QueryCoordinator::Session {
 
   sim::Epoch epoch = 0;  ///< Next epoch StepEpoch() executes.
 
-  Session(const Deployment& deployment, const sim::NetworkOptions& net_options,
-          uint64_t net_seed)
+  Session(const Deployment& deployment, const DeploymentConfig& config)
       : tree(deployment.tree),
-        net(&deployment.topology, &tree, net_options, util::Rng(net_seed)) {}
+        net(&deployment.topology, &tree, RadioOptionsFrom(config),
+            util::Rng(config.seed ^ kNetworkSalt)) {}
 };
 
 QueryCoordinator::QueryCoordinator(Scenario scenario, Options options)
     : options_(std::move(options)),
-      owned_deployment_(std::make_unique<Deployment>(std::move(scenario), options_.seed)),
-      deployment_(owned_deployment_.get()) {}
-
-QueryCoordinator::QueryCoordinator(const Deployment* deployment, Options options)
-    : options_(std::move(options)), deployment_(deployment) {}
+      deployment_(std::make_unique<Deployment>(std::move(scenario), options_.seed)) {}
 
 QueryCoordinator::~QueryCoordinator() = default;
 QueryCoordinator::QueryCoordinator(QueryCoordinator&&) noexcept = default;
 QueryCoordinator& QueryCoordinator::operator=(QueryCoordinator&&) noexcept = default;
-
-std::unique_ptr<data::DataGenerator> QueryCoordinator::MakeGenerator(uint64_t seed) const {
-  if (options_.make_generator) return options_.make_generator(deployment_->scenario, seed);
-  return deployment_->DefaultGenerator(seed);
-}
-
-sim::NetworkOptions QueryCoordinator::NetOptions() const { return RadioOptionsFrom(options_); }
 
 util::StatusOr<QueryId> QueryCoordinator::Admit(const std::string& sql) {
   return Admit(sql, AdmitOptions{});
@@ -330,7 +314,7 @@ util::Status QueryCoordinator::BindToSession(size_t admitted_index) {
       group.algorithm = group.algo->name();
       break;
     case OpKind::kHorizontal:
-      group.own_inner = MakeGenerator(options_.seed);
+      group.own_inner = deployment_->Generator(options_);
       group.window_gen = std::make_unique<data::WindowAggregateGenerator>(
           group.own_inner.get(), n, plan.window, plan.spec.agg);
       group.algo =
@@ -359,20 +343,8 @@ util::Status QueryCoordinator::BindToSession(size_t admitted_index) {
       // One-shot historic: runs over already-buffered windows on the same
       // network — its traffic drains the same batteries the continuous
       // queries live off. Mid-session admits run theirs at admission.
-      auto gen = MakeGenerator(options_.seed);
-      std::vector<storage::HistoryStore> stores;
-      stores.reserve(n);
-      const data::ModalityInfo& info = data::GetModalityInfo(deployment_->scenario.modality);
-      for (sim::NodeId id = 0; id < n; ++id) {
-        stores.emplace_back(plan.window, /*archive_to_flash=*/false, info.min_value,
-                            info.max_value);
-      }
-      for (size_t t = 0; t < plan.window; ++t) {
-        for (sim::NodeId id = 1; id < n; ++id) {
-          stores[id].Append(static_cast<sim::Epoch>(t),
-                            gen->Value(id, static_cast<sim::Epoch>(t)));
-        }
-      }
+      std::vector<storage::HistoryStore> stores =
+          deployment_->BufferWindows(*deployment_->Generator(options_), plan.window);
       storage::StoreHistorySource source(&stores);
       core::Tja tja(&session.net, &source, plan.historic);
       sim::TrafficCounters before = session.net.total();
@@ -403,11 +375,10 @@ util::Status QueryCoordinator::Open() {
   // ------------------------------------------------------- shared data plane
   // One tree copy per session (churn repairs it in place; the deployment
   // stays pristine), one network, one generator: the per-epoch data wave
-  // every epoch-driven operator reads. Seed derivations match KSpotServer's
-  // snapshot path exactly, so a lone snapshot query reproduces Execute().
-  session_ =
-      std::make_unique<Session>(*deployment_, NetOptions(), options_.seed ^ options_.net_salt);
-  session_->shared_gen = MakeGenerator(options_.seed);
+  // every epoch-driven operator reads. A TagShadow derives the same seeds,
+  // so the System Panel's baseline sees the same data and losses.
+  session_ = std::make_unique<Session>(*deployment_, options_);
+  session_->shared_gen = deployment_->Generator(options_);
 
   // Parallel epoch execution: cut the tree at its cluster heads and run the
   // subtree lanes concurrently (merged deterministically every epoch).
@@ -418,14 +389,8 @@ util::Status QueryCoordinator::Open() {
   }
 
   if (options_.enable_churn) {
-    fault::FaultPlanOptions churn_opt = options_.churn;
-    if (churn_opt.horizon == 0 || churn_opt.horizon > options_.epochs) {
-      churn_opt.horizon = static_cast<sim::Epoch>(options_.epochs);
-    }
-    fault::FaultPlan plan =
-        fault::FaultPlan::Generate(deployment_->topology, churn_opt, options_.seed ^ 0xFA11);
-    session_->churn =
-        std::make_unique<fault::ChurnEngine>(&session_->net, &session_->tree, std::move(plan));
+    session_->churn = std::make_unique<fault::ChurnEngine>(&session_->net, &session_->tree,
+                                                           deployment_->ChurnPlan(options_));
   }
 
   // Bind every admitted query: group planning in admission order, exactly

@@ -133,10 +133,11 @@ struct EpochUpdate {
 ///
 /// - **Batch**: Admit queries, call Run(). A run is a pure function of the
 ///   admitted set and Options::seed: Run() may be called repeatedly and
-///   always reproduces the same report, and a single admitted snapshot query
-///   reproduces KSpotServer::Execute bit-exactly (pinned by
-///   coordinator_test). Run() is now a thin loop over the session surface
-///   below and stays bit-identical to the historical batch implementation.
+///   always reproduces the same report. The shared plane's seeds are fixed
+///   derivations of Options::seed (network `seed ^ kNetworkSalt`, fault plan
+///   `seed ^ 0xFA11`), so a single admitted snapshot query equals MINT driven
+///   directly on such a network (pinned by coordinator_test). Run() is a
+///   thin loop over the session surface below.
 ///
 /// - **Session**: Open() builds the shared data plane once, StepEpoch()
 ///   advances it one epoch at a time, Close() tears it down and returns the
@@ -154,21 +155,10 @@ class QueryCoordinator {
     /// drives its own operator on the shared network (for measuring what the
     /// piggybacking saves).
     bool share_operators = true;
-    /// Salt XORed into the seed of the shared plane's network RNG.
-    /// KSpotServer::Execute delegates every query class to a single-query
-    /// session and passes its historical per-class salt (0x77 snapshot/TAG,
-    /// 0x33 ungrouped select, 0x99 vertical historic, 0x55 horizontal) so
-    /// the delegation reproduces the pre-session server bit-exactly. The
-    /// multi-query default is the snapshot salt.
-    uint64_t net_salt = 0x77;
   };
 
   /// Builds the long-lived deployment for `scenario`.
   QueryCoordinator(Scenario scenario, Options options);
-  /// Serves an externally owned deployment (must outlive the coordinator)
-  /// instead of building one — how KSpotServer delegates Execute without
-  /// rebuilding topology and tree per query.
-  QueryCoordinator(const Deployment* deployment, Options options);
   ~QueryCoordinator();
   QueryCoordinator(QueryCoordinator&&) noexcept;
   QueryCoordinator& operator=(QueryCoordinator&&) noexcept;
@@ -241,14 +231,13 @@ class QueryCoordinator {
   struct Session;
 
   Options options_;
-  std::unique_ptr<Deployment> owned_deployment_;
-  const Deployment* deployment_ = nullptr;
+  /// Heap-held so an open session's network keeps pointing at the same
+  /// topology when the coordinator is moved.
+  std::unique_ptr<const Deployment> deployment_;
   std::vector<Admitted> admitted_;
   QueryId next_id_ = 1;
   std::unique_ptr<Session> session_;
 
-  std::unique_ptr<data::DataGenerator> MakeGenerator(uint64_t seed) const;
-  sim::NetworkOptions NetOptions() const;
   util::Status BindToSession(size_t admitted_index);
 };
 

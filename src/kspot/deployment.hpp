@@ -5,14 +5,15 @@
 #include <vector>
 
 #include "core/query_spec.hpp"
+#include "core/tja.hpp"
 #include "data/generators.hpp"
 #include "fault/fault_plan.hpp"
-#include "kspot/node_runtime.hpp"
 #include "kspot/scenario_config.hpp"
 #include "query/ast.hpp"
 #include "sim/network.hpp"
 #include "sim/routing_tree.hpp"
 #include "sim/topology.hpp"
+#include "storage/history_store.hpp"
 
 namespace kspot::system {
 
@@ -43,11 +44,9 @@ struct HistoricPathConfig {
   double suppression_eps = 0.5;
 };
 
-/// The deployment-wide execution knobs every serving API shares — ONE struct
-/// so a knob added for one server cannot silently miss the other.
-/// KSpotServer::Options and QueryCoordinator::Options both derive from this;
-/// KSpotServer::Execute delegates to a single-query coordinator session, so
-/// these knobs reach the data plane through a single execution path.
+/// The deployment-wide execution knobs: QueryCoordinator::Options derives
+/// from this, and TagShadow reads the same struct, so a System-Panel
+/// baseline always runs under the session's radio, battery and churn knobs.
 struct DeploymentConfig {
   /// Epochs to drive continuous queries for.
   size_t epochs = 30;
@@ -62,9 +61,9 @@ struct DeploymentConfig {
   double battery_j = 0.0;
   /// Fault & churn injection over the routing tree: a FaultPlan drawn from
   /// `churn` and the run's seed, one repair per epoch, every operator
-  /// notified. `churn.horizon` 0 = the whole run. (KSpotServer applies churn
-  /// to continuous snapshot queries only; historic one-shot queries run over
-  /// already-buffered windows and ignore it.)
+  /// notified. `churn.horizon` 0 = the whole run. (One-shot vertical
+  /// historic queries run over already-buffered windows at Open and see no
+  /// churn.)
   bool enable_churn = false;
   fault::FaultPlanOptions churn;
   /// Data generator factory; defaults to the deployment's room-correlated
@@ -97,28 +96,24 @@ struct DeploymentConfig {
 };
 
 /// One deployed sensor network as the base station administers it: the
-/// scenario, the simulator topology built from it, the routing tree grown
-/// over the deployment, and the per-node client runtimes.
+/// scenario, the simulator topology built from it, and the routing tree
+/// grown over the deployment.
 ///
-/// This is the long-lived state every query server shares. KSpotServer owns
-/// one and runs a single query at a time against it; QueryCoordinator owns
-/// one and drives many concurrent queries over the same tree, batteries and
-/// per-epoch data wave. The topology and tree here stay pristine — runs that
-/// mutate the tree (churn) repair their own copies and the deployment
-/// remains the per-run starting point.
+/// QueryCoordinator owns one and drives many concurrent queries over the
+/// same tree, batteries and per-epoch data wave. The topology and tree here
+/// stay pristine — sessions (and TagShadow) that mutate the tree under churn
+/// repair their own copies, and the deployment remains the per-run starting
+/// point.
 struct Deployment {
-  /// Window depth the clients buffer, and the default window of historic
-  /// queries that name none — one constant so a windowless historic query
-  /// can never read deeper than the clients buffer.
+  /// Default window of historic queries that name none.
   static constexpr size_t kDefaultWindow = 32;
 
   Scenario scenario;
   sim::Topology topology;
   sim::RoutingTree tree;
-  std::vector<NodeRuntime> clients;
 
   /// Builds the deployment for `scenario`. The routing tree derives from
-  /// `seed` exactly as the server always built it: the Figure-1 scenario
+  /// `seed ^ 0xA5A5A5A5`: the Figure-1 scenario
   /// pins the paper's tree, every other scenario grows the cluster-aware
   /// first-heard-from tree (rooms form contiguous subtrees and close low —
   /// what MINT's view hierarchy exploits).
@@ -130,17 +125,43 @@ struct Deployment {
   /// same epoch sees the identical readings, and re-deriving with the same
   /// seed replays the identical wave).
   std::unique_ptr<data::DataGenerator> DefaultGenerator(uint64_t seed) const;
+
+  /// The run's data wave: `config.make_generator` when set, else
+  /// DefaultGenerator, seeded with `config.seed`.
+  std::unique_ptr<data::DataGenerator> Generator(const DeploymentConfig& config) const;
+
+  /// The run's fault plan over this topology, drawn from `config.churn` with
+  /// seed `config.seed ^ 0xFA11`; a zero (or too long) horizon covers the
+  /// run's `config.epochs`.
+  fault::FaultPlan ChurnPlan(const DeploymentConfig& config) const;
+
+  /// The per-node history windows a vertical historic query reads: the
+  /// first `window` epochs of `gen` buffered at every sensor (the sink
+  /// samples nothing). Local buffering costs no radio traffic.
+  std::vector<storage::HistoryStore> BufferWindows(data::DataGenerator& gen,
+                                                   size_t window) const;
 };
+
+/// Salt of every serving network's RNG: a session and the TAG shadow beside
+/// it both seed their Network with `seed ^ kNetworkSalt`, so they draw the
+/// same loss sequence.
+inline constexpr uint64_t kNetworkSalt = 0x77;
 
 /// Maps a parsed snapshot/grouped query onto the algorithm-facing QuerySpec
 /// under `scenario`'s modality. Basic GROUP-BY selects (no TOP clause)
 /// report every group, modeled as K = all.
 core::QuerySpec SpecFromQuery(const query::ParsedQuery& parsed, const Scenario& scenario);
 
+/// The window a historic query reads: its WITH HISTORY depth, or
+/// Deployment::kDefaultWindow when it names none.
+size_t HistoryWindow(const query::ParsedQuery& parsed);
+
+/// Maps a parsed vertical historic query onto the TJA / TAG-H options.
+core::HistoricOptions HistoricFromQuery(const query::ParsedQuery& parsed);
+
 /// Maps the shared DeploymentConfig radio knobs onto the simulator's
 /// NetworkOptions — ONE mapping, so a knob added to the serving options
-/// cannot reach one server's network but not the other's (the
-/// coordinator==Execute bit-exactness depends on identical NetworkOptions).
+/// reaches the session's network and the TAG shadow's alike.
 inline sim::NetworkOptions RadioOptionsFrom(const DeploymentConfig& options) {
   sim::NetworkOptions opts;
   opts.loss_prob = options.loss_prob;

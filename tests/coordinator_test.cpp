@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "core/mint.hpp"
+#include "fault/churn_engine.hpp"
 #include "kspot/coordinator.hpp"
 #include "kspot/scenario_config.hpp"
-#include "kspot/server.hpp"
+#include "query/parser.hpp"
 
 namespace kspot::system {
 namespace {
@@ -94,25 +97,14 @@ TEST(CoordinatorTest, AdmitValidatesAndCancelWithdraws) {
   EXPECT_EQ(report.value().outcomes[0].id, b.value());
 }
 
-TEST(CoordinatorTest, SingleSnapshotQueryMatchesServerExecute) {
-  // The coordinator's shared data plane derives generator, network RNG and
-  // fault plan exactly as KSpotServer's snapshot path does, so one admitted
-  // snapshot query is bit-identical to Execute() — with and without churn.
+TEST(CoordinatorTest, SingleSnapshotQueryMatchesDirectMintOnDerivedSeeds) {
+  // Pins the seed derivations the session path promises (and the perfbench
+  // replay copies): network seed ^ 0x77, fault plan seed ^ 0xFA11, tree
+  // seed ^ 0xA5A5A5A5 (inside Deployment). One admitted snapshot query must
+  // equal MINT driven directly on a network and churn engine built from
+  // those seeds — answers and per-epoch messages — with and without churn.
   for (bool with_churn : {false, true}) {
     SCOPED_TRACE(with_churn ? "churn" : "clean");
-    KSpotServer::Options server_opt;
-    server_opt.epochs = 20;
-    server_opt.seed = 42;
-    server_opt.loss_prob = 0.05;
-    server_opt.max_retries = 1;
-    server_opt.enable_churn = with_churn;
-    server_opt.churn.crash_prob = 0.01;
-    server_opt.churn.mean_downtime = 5;
-    server_opt.run_baseline = false;
-    KSpotServer server(Scenario::ConferenceFloor(6, 3, 5), server_opt);
-    auto server_outcome = server.Execute(kSnapshotSql);
-    ASSERT_TRUE(server_outcome.ok());
-
     QueryCoordinator::Options opt = SmallRun(20, 42);
     opt.loss_prob = 0.05;
     opt.max_retries = 1;
@@ -121,19 +113,51 @@ TEST(CoordinatorTest, SingleSnapshotQueryMatchesServerExecute) {
     opt.churn.mean_downtime = 5;
     QueryCoordinator coordinator(Scenario::ConferenceFloor(6, 3, 5), opt);
     ASSERT_TRUE(coordinator.Admit(kSnapshotSql).ok());
-    auto report = coordinator.Run();
+    ASSERT_TRUE(coordinator.Open().ok());
+    std::vector<uint64_t> session_msgs;
+    for (size_t e = 0; e < opt.epochs; ++e) {
+      auto step = coordinator.StepEpoch();
+      ASSERT_TRUE(step.ok());
+      session_msgs.push_back(step.value().epoch_cost.messages);
+    }
+    auto report = coordinator.Close();
     ASSERT_TRUE(report.ok());
     ASSERT_EQ(report.value().outcomes.size(), 1u);
     const QueryOutcome& outcome = report.value().outcomes[0];
     EXPECT_EQ(outcome.algorithm, "MINT");
-    EXPECT_EQ(EpochDigest(outcome.per_epoch),
-              EpochDigest(server_outcome.value().per_epoch));
-    // The server's cost counter is its network's grand total (operator +
-    // tree-repair handshakes); the coordinator's equivalent is the shared
-    // plane's total.
-    EXPECT_EQ(report.value().total.messages, server_outcome.value().cost.messages);
-    EXPECT_EQ(report.value().total.payload_bytes,
-              server_outcome.value().cost.payload_bytes);
+
+    const Deployment deployment(Scenario::ConferenceFloor(6, 3, 5), opt.seed);
+    sim::RoutingTree tree = deployment.tree;
+    sim::Network net(&deployment.topology, &tree, RadioOptionsFrom(opt),
+                     util::Rng(opt.seed ^ 0x77));
+    auto gen = deployment.DefaultGenerator(opt.seed);
+    core::MintViews mint(&net, gen.get(),
+                         SpecFromQuery(query::Parse(kSnapshotSql).value(), deployment.scenario));
+    std::unique_ptr<fault::ChurnEngine> churn;
+    if (with_churn) {
+      fault::FaultPlanOptions plan_opt = opt.churn;
+      plan_opt.horizon = static_cast<sim::Epoch>(opt.epochs);
+      churn = std::make_unique<fault::ChurnEngine>(
+          &net, &tree, fault::FaultPlan::Generate(deployment.topology, plan_opt,
+                                                  opt.seed ^ 0xFA11));
+    }
+    std::vector<core::TopKResult> direct;
+    std::vector<uint64_t> direct_msgs;
+    for (sim::Epoch e = 0; e < opt.epochs; ++e) {
+      sim::TrafficCounters before = net.total();
+      if (churn) {
+        fault::ChurnReport churn_report = churn->BeginEpoch(e);
+        if (churn_report.topology_changed) mint.OnTopologyChanged(churn_report.delta);
+      }
+      direct.push_back(mint.RunEpoch(e));
+      direct_msgs.push_back(net.total().Since(before).messages);
+    }
+    EXPECT_EQ(EpochDigest(outcome.per_epoch), EpochDigest(direct));
+    EXPECT_EQ(session_msgs, direct_msgs);
+    EXPECT_EQ(report.value().total.payload_bytes, net.total().payload_bytes);
+    if (with_churn) {
+      EXPECT_GT(report.value().repair_events, 0u);
+    }
   }
 }
 

@@ -3,17 +3,17 @@
 #include "core/mint.hpp"
 #include "core/oracle.hpp"
 #include "core/tja.hpp"
+#include "kspot/coordinator.hpp"
 #include "kspot/display_panel.hpp"
 #include "kspot/scenario_config.hpp"
-#include "kspot/server.hpp"
 #include "storage/history_store.hpp"
 #include "test_util.hpp"
 
 namespace kspot {
 namespace {
 
-// End-to-end: scenario file on disk -> server -> SQL -> ranked answers with
-// savings, exercising the full stack the way the demo would.
+// End-to-end: scenario file on disk -> session + TAG shadow -> SQL -> ranked
+// answers with savings, exercising the full stack the way the demo would.
 TEST(IntegrationTest, ScenarioFileToRankedAnswers) {
   system::Scenario scenario = system::Scenario::ConferenceFloor(6, 4, 21);
   std::string path = ::testing::TempDir() + "/kspot_integration.kcfg";
@@ -21,40 +21,41 @@ TEST(IntegrationTest, ScenarioFileToRankedAnswers) {
   auto loaded = system::Scenario::Load(path);
   ASSERT_TRUE(loaded.ok());
 
-  system::KSpotServer::Options opt;
+  system::QueryCoordinator::Options opt;
   // A continuous monitoring query: long enough that MINT's one-time creation
   // phase amortizes (the demo runs for the duration of the conference).
   opt.epochs = 60;
   opt.seed = 4242;
-  system::KSpotServer server(loaded.value(), opt);
+  auto served = testing::ServeWithShadow(
+      loaded.value(), opt,
+      "SELECT TOP 3 roomid, AVG(sound) FROM sensors GROUP BY roomid EPOCH DURATION 1 min");
+  ASSERT_TRUE(served.ok()) << served.status().message();
+  ASSERT_EQ(served.value().outcome.per_epoch.size(), 60u);
 
-  system::DisplayPanel panel(&server.scenario());
-  std::string last_frame;
-  auto outcome = server.ExecuteStreaming(
-      "SELECT TOP 3 roomid, AVG(sound) FROM sensors GROUP BY roomid EPOCH DURATION 1 min",
-      [&](const core::TopKResult& r, const system::SystemPanel& sys) {
-        last_frame = panel.RenderFrame(r) + sys.Render();
-      });
-  ASSERT_TRUE(outcome.ok()) << outcome.status().message();
-  EXPECT_EQ(outcome.value().per_epoch.size(), 60u);
+  system::DisplayPanel panel(&loaded.value());
+  std::string last_frame =
+      panel.RenderFrame(served.value().outcome.per_epoch.back()) + served.value().panel.Render();
   EXPECT_NE(last_frame.find("KSpot Bullets"), std::string::npos);
   EXPECT_NE(last_frame.find("System Panel"), std::string::npos);
-  EXPECT_GT(outcome.value().panel.ByteSavingsPercent(), 0.0);
+  EXPECT_GT(served.value().panel.ByteSavingsPercent(), 0.0);
 }
 
-// The MINT answer served through the full server stack must equal an oracle
+// The MINT answer served through a coordinator session must equal an oracle
 // computed over an identically seeded generator.
-TEST(IntegrationTest, ServerAnswersMatchOracle) {
+TEST(IntegrationTest, SessionAnswersMatchOracle) {
   system::Scenario scenario = system::Scenario::ConferenceFloor(5, 4, 33);
-  system::KSpotServer::Options opt;
+  system::QueryCoordinator::Options opt;
   opt.epochs = 10;
   opt.seed = 777;
-  system::KSpotServer server(scenario, opt);
-  auto outcome =
-      server.Execute("SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid");
-  ASSERT_TRUE(outcome.ok());
+  system::QueryCoordinator coordinator(scenario, opt);
+  ASSERT_TRUE(
+      coordinator.Admit("SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid").ok());
+  auto report = coordinator.Run();
+  ASSERT_TRUE(report.ok());
+  const auto& per_epoch = report.value().outcomes.at(0).per_epoch;
+  ASSERT_EQ(per_epoch.size(), 10u);
 
-  // Rebuild the same generator the server used (default factory, same seed).
+  // Rebuild the same generator the session used (default factory, same seed).
   sim::Topology topo = scenario.BuildTopology();
   std::vector<sim::GroupId> rooms;
   for (sim::NodeId id = 0; id < topo.num_nodes(); ++id) rooms.push_back(topo.room(id));
@@ -68,7 +69,7 @@ TEST(IntegrationTest, ServerAnswersMatchOracle) {
   spec.domain_max = 100.0;
   core::Oracle oracle(&topo, &gen, spec);
   for (sim::Epoch e = 0; e < 10; ++e) {
-    EXPECT_TRUE(outcome.value().per_epoch[e].Matches(oracle.TopK(e))) << "epoch " << e;
+    EXPECT_TRUE(per_epoch[e].Matches(oracle.TopK(e))) << "epoch " << e;
   }
 }
 
@@ -112,23 +113,22 @@ TEST(IntegrationTest, StoredWindowsFeedTja) {
 // The paper's full demo loop on the Figure-1 scenario through SQL, with the
 // naive-vs-MINT anomaly visible end to end.
 TEST(IntegrationTest, Figure1DemoThroughSql) {
-  system::KSpotServer::Options opt;
+  system::QueryCoordinator::Options opt;
   opt.epochs = 4;
   opt.seed = 1;
   opt.make_generator = [](const system::Scenario&, uint64_t) {
     return std::make_unique<data::ConstantGenerator>(sim::Figure1Readings());
   };
-  system::KSpotServer server(system::Scenario::Figure1(), opt);
-  auto outcome =
-      server.Execute("SELECT TOP 1 roomid, AVERAGE(sound) FROM sensors GROUP BY roomid "
-                     "EPOCH DURATION 1 min");
-  ASSERT_TRUE(outcome.ok());
-  for (const auto& r : outcome.value().per_epoch) {
+  auto served = testing::ServeWithShadow(
+      system::Scenario::Figure1(), opt,
+      "SELECT TOP 1 roomid, AVERAGE(sound) FROM sensors GROUP BY roomid EPOCH DURATION 1 min");
+  ASSERT_TRUE(served.ok());
+  for (const auto& r : served.value().outcome.per_epoch) {
     ASSERT_EQ(r.items.size(), 1u);
     EXPECT_EQ(r.items[0].group, 2);                // room C, not the naive (D, 76.5)
     EXPECT_DOUBLE_EQ(r.items[0].value, 75.0);
   }
-  EXPECT_GE(outcome.value().panel.MessageSavingsPercent(), 0.0);
+  EXPECT_GE(served.value().panel.MessageSavingsPercent(), 0.0);
 }
 
 }  // namespace

@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <iterator>
+#include <string>
+#include <vector>
+
+#include "kspot/coordinator.hpp"
 #include "kspot/display_panel.hpp"
-#include "kspot/node_runtime.hpp"
 #include "kspot/scenario_config.hpp"
-#include "kspot/server.hpp"
 #include "kspot/system_panel.hpp"
+#include "test_util.hpp"
 
 namespace kspot::system {
 namespace {
@@ -58,32 +63,6 @@ TEST(ScenarioTest, ConferenceFloorShape) {
   EXPECT_EQ(t.NodesInRoom(0).size(), 4u);
 }
 
-// -------------------------------------------------------------- NodeRuntime
-
-TEST(NodeRuntimeTest, InstallsAndClassifiesQueries) {
-  NodeRuntime node(3, 16, data::GetModalityInfo(data::Modality::kSound));
-  EXPECT_FALSE(node.has_query());
-  auto s = node.InstallQuery("SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid");
-  ASSERT_TRUE(s.ok()) << s.message();
-  EXPECT_TRUE(node.has_query());
-  EXPECT_EQ(node.query_class(), query::QueryClass::kSnapshotTopK);
-  EXPECT_EQ(node.query().top_k, 2);
-}
-
-TEST(NodeRuntimeTest, RejectsBadQueries) {
-  NodeRuntime node(3, 16, data::GetModalityInfo(data::Modality::kSound));
-  EXPECT_FALSE(node.InstallQuery("SELECT warp FROM sensors").ok());
-  EXPECT_FALSE(node.has_query());
-}
-
-TEST(NodeRuntimeTest, SamplesFeedHistory) {
-  NodeRuntime node(3, 4, data::GetModalityInfo(data::Modality::kSound));
-  for (sim::Epoch e = 0; e < 6; ++e) node.Sample(e, 10.0 * e);
-  std::vector<double> window;
-  node.history().Window().ForEach([&](size_t, double v) { window.push_back(v); });
-  EXPECT_EQ(window, (std::vector<double>{20, 30, 40, 50}));
-}
-
 // -------------------------------------------------------------------- Panels
 
 TEST(DisplayPanelTest, RendersMapAndBullets) {
@@ -122,84 +101,81 @@ TEST(SystemPanelTest, SavingsMath) {
   EXPECT_NE(text.find("75.0%"), std::string::npos);
 }
 
-// -------------------------------------------------------------------- Server
+// ------------------------------------------- Served path: session + shadow
 
-KSpotServer::Options SmallRun(size_t epochs = 10) {
-  KSpotServer::Options opt;
+using testing::ServeWithShadow;
+
+QueryCoordinator::Options SmallRun(size_t epochs = 10) {
+  QueryCoordinator::Options opt;
   opt.epochs = epochs;
   opt.seed = 99;
   return opt;
 }
 
-TEST(ServerTest, SnapshotTopKRunsMintAndSaves) {
-  KSpotServer server(Scenario::ConferenceFloor(6, 3, 5), SmallRun(15));
-  auto outcome =
-      server.Execute("SELECT TOP 3 roomid, AVG(sound) FROM sensors GROUP BY roomid");
-  ASSERT_TRUE(outcome.ok()) << outcome.status().message();
-  const RunOutcome& r = outcome.value();
-  EXPECT_EQ(r.algorithm, "MINT");
-  EXPECT_EQ(r.per_epoch.size(), 15u);
-  for (const auto& epoch : r.per_epoch) EXPECT_EQ(epoch.items.size(), 3u);
-  EXPECT_LT(r.cost.payload_bytes, r.baseline_cost.payload_bytes);
+TEST(ServedQueryTest, SnapshotTopKRunsMintAndSaves) {
+  auto served = ServeWithShadow(Scenario::ConferenceFloor(6, 3, 5), SmallRun(15),
+                                "SELECT TOP 3 roomid, AVG(sound) FROM sensors GROUP BY roomid");
+  ASSERT_TRUE(served.ok()) << served.status().message();
+  const testing::ServedQuery& r = served.value();
+  EXPECT_EQ(r.outcome.algorithm, "MINT");
+  EXPECT_EQ(r.outcome.per_epoch.size(), 15u);
+  for (const auto& epoch : r.outcome.per_epoch) EXPECT_EQ(epoch.items.size(), 3u);
+  EXPECT_LT(r.cost.payload_bytes, r.baseline.payload_bytes);
   EXPECT_GT(r.panel.ByteSavingsPercent(), 0.0);
 }
 
-TEST(ServerTest, BasicSelectRoutesToTag) {
-  KSpotServer server(Scenario::ConferenceFloor(4, 3, 5), SmallRun(5));
-  auto outcome = server.Execute("SELECT roomid, AVG(sound) FROM sensors GROUP BY roomid");
-  ASSERT_TRUE(outcome.ok());
-  EXPECT_EQ(outcome.value().algorithm, "TAG");
-  EXPECT_EQ(outcome.value().query_class, query::QueryClass::kBasicSelect);
+TEST(ServedQueryTest, GroupedSelectRoutesToTag) {
+  auto served = ServeWithShadow(Scenario::ConferenceFloor(4, 3, 5), SmallRun(5),
+                                "SELECT roomid, AVG(sound) FROM sensors GROUP BY roomid");
+  ASSERT_TRUE(served.ok());
+  EXPECT_EQ(served.value().outcome.algorithm, "TAG");
+  EXPECT_EQ(served.value().outcome.query_class, query::QueryClass::kBasicSelect);
+  // The shadow of a TAG query is TAG on the same seeds: nothing saved.
+  EXPECT_EQ(served.value().cost.messages, served.value().baseline.messages);
 }
 
-TEST(ServerTest, HistoricVerticalRoutesToTja) {
+TEST(ServedQueryTest, HistoricVerticalRoutesToTjaAndBeatsTagH) {
   // Historic queries are about *long* buffers (months of readings in the
   // paper's example); a window much larger than the candidate union is
   // TJA's regime.
-  KSpotServer server(Scenario::ConferenceFloor(4, 3, 5), SmallRun());
-  auto outcome = server.Execute(
+  auto served = ServeWithShadow(
+      Scenario::ConferenceFloor(4, 3, 5), SmallRun(),
       "SELECT TOP 3 epoch, AVG(sound) FROM sensors GROUP BY epoch WITH HISTORY 128");
-  ASSERT_TRUE(outcome.ok()) << outcome.status().message();
-  const RunOutcome& r = outcome.value();
-  EXPECT_EQ(r.algorithm, "TJA");
-  EXPECT_EQ(r.historic.items.size(), 3u);
-  EXPECT_GE(r.historic.lsink_size, 3u);
-  EXPECT_LT(r.cost.payload_bytes, r.baseline_cost.payload_bytes);
+  ASSERT_TRUE(served.ok()) << served.status().message();
+  const testing::ServedQuery& r = served.value();
+  EXPECT_EQ(r.outcome.algorithm, "TJA");
+  EXPECT_EQ(r.outcome.historic.items.size(), 3u);
+  EXPECT_GE(r.outcome.historic.lsink_size, 3u);
+  EXPECT_GT(r.baseline.payload_bytes, 0u);
+  EXPECT_LT(r.cost.payload_bytes, r.baseline.payload_bytes);
 }
 
-TEST(ServerTest, HistoricHorizontalRoutesToMintOverWindows) {
-  KSpotServer server(Scenario::ConferenceFloor(4, 3, 5), SmallRun(8));
-  auto outcome = server.Execute(
+TEST(ServedQueryTest, HistoricHorizontalRoutesToMintOverWindows) {
+  auto served = ServeWithShadow(
+      Scenario::ConferenceFloor(4, 3, 5), SmallRun(8),
       "SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid WITH HISTORY 8");
-  ASSERT_TRUE(outcome.ok()) << outcome.status().message();
-  EXPECT_EQ(outcome.value().algorithm, "MINT+history");
-  EXPECT_EQ(outcome.value().per_epoch.size(), 8u);
+  ASSERT_TRUE(served.ok()) << served.status().message();
+  EXPECT_EQ(served.value().outcome.algorithm, "MINT+history");
+  EXPECT_EQ(served.value().outcome.per_epoch.size(), 8u);
+  EXPECT_GT(served.value().baseline.payload_bytes, 0u);
 }
 
-TEST(ServerTest, SurfacesQueryErrors) {
-  KSpotServer server(Scenario::ConferenceFloor(4, 3, 5), SmallRun());
-  EXPECT_FALSE(server.Execute("SELECT").ok());
-  EXPECT_FALSE(server.Execute("SELECT bogus FROM sensors").ok());
-  EXPECT_FALSE(
-      server.Execute("SELECT TOP 2 roomid, AVG(sound) FROM sensors").ok());  // no GROUP BY
-}
-
-TEST(ServerTest, ChurnOptionsDriveFaultInjectionAndNodeStatus) {
+TEST(ServedQueryTest, ChurnOptionsDriveFaultInjectionAndNodeStatus) {
   // Moderate churn: at high crash rates MINT's per-repair view rebuilds
   // erode its savings (that trade-off is E14's subject, not this test's).
-  KSpotServer::Options opt = SmallRun(40);
+  QueryCoordinator::Options opt = SmallRun(40);
   opt.enable_churn = true;
   opt.churn.crash_prob = 0.005;
   opt.churn.mean_downtime = 8;
-  KSpotServer server(Scenario::ConferenceFloor(6, 3, 5), opt);
-  auto outcome =
-      server.Execute("SELECT TOP 3 roomid, AVG(sound) FROM sensors GROUP BY roomid");
-  ASSERT_TRUE(outcome.ok()) << outcome.status().message();
-  const RunOutcome& r = outcome.value();
-  EXPECT_EQ(r.per_epoch.size(), 40u);
+  Scenario floor = Scenario::ConferenceFloor(6, 3, 5);
+  auto served =
+      ServeWithShadow(floor, opt, "SELECT TOP 3 roomid, AVG(sound) FROM sensors GROUP BY roomid");
+  ASSERT_TRUE(served.ok()) << served.status().message();
+  const testing::ServedQuery& r = served.value();
+  EXPECT_EQ(r.outcome.per_epoch.size(), 40u);
   // The System Panel surfaces node status once churn ran.
   const SystemPanel::NodeStatus& status = r.panel.node_status();
-  EXPECT_EQ(status.total, server.scenario().nodes.size());
+  EXPECT_EQ(status.total, floor.nodes.size());
   EXPECT_GT(status.up, 0u);
   EXPECT_GT(status.repair_events, 0u);
   EXPECT_GT(status.repair_messages, 0u);
@@ -207,20 +183,19 @@ TEST(ServerTest, ChurnOptionsDriveFaultInjectionAndNodeStatus) {
   EXPECT_NE(r.panel.Render().find("tree repairs"), std::string::npos);
   // Repair traffic is charged: the same plan hits both runs, and MINT still
   // undercuts the TAG shadow baseline.
-  EXPECT_LT(r.cost.payload_bytes, r.baseline_cost.payload_bytes);
+  EXPECT_LT(r.cost.payload_bytes, r.baseline.payload_bytes);
 }
 
-TEST(ServerTest, ChurnDisabledLeavesPanelStatusEmpty) {
-  KSpotServer server(Scenario::ConferenceFloor(4, 3, 5), SmallRun(5));
-  auto outcome =
-      server.Execute("SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid");
-  ASSERT_TRUE(outcome.ok());
-  EXPECT_EQ(outcome.value().panel.node_status().total, 0u);
-  EXPECT_EQ(outcome.value().panel.Render().find("nodes up"), std::string::npos);
+TEST(ServedQueryTest, ChurnDisabledLeavesPanelStatusEmpty) {
+  auto served = ServeWithShadow(Scenario::ConferenceFloor(4, 3, 5), SmallRun(5),
+                                "SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid");
+  ASSERT_TRUE(served.ok());
+  EXPECT_EQ(served.value().panel.node_status().total, 0u);
+  EXPECT_EQ(served.value().panel.Render().find("nodes up"), std::string::npos);
 }
 
-/// Order- and run-independent digest of everything a query returned.
-std::string OutcomeDigest(const RunOutcome& r) {
+/// Digest of everything one query returned plus the plane's bill.
+std::string OutcomeDigest(const QueryOutcome& r, const sim::TrafficCounters& cost) {
   char buf[96];
   std::string out;
   for (const auto& epoch : r.per_epoch) {
@@ -242,18 +217,18 @@ std::string OutcomeDigest(const RunOutcome& r) {
     out += buf;
   }
   snprintf(buf, sizeof buf, "m=%llu,b=%llu,E=%.17g",
-           static_cast<unsigned long long>(r.cost.messages),
-           static_cast<unsigned long long>(r.cost.payload_bytes), r.cost.energy_j());
+           static_cast<unsigned long long>(cost.messages),
+           static_cast<unsigned long long>(cost.payload_bytes), cost.energy_j());
   out += buf;
   return out;
 }
 
-TEST(ServerTest, ExecuteTwiceIsBitIdentical) {
-  // The coordinator reuses one server-side deployment for many queries, so
-  // Execute must never perturb state a later Execute reads: two sequential
-  // calls with the same SQL and seed are bit-identical, per query class,
-  // even interleaved with other queries and under churn + loss + batteries.
-  KSpotServer::Options opt;
+TEST(ServedQueryTest, RunTwiceIsBitIdenticalPerQueryClass) {
+  // A run never perturbs state a later run reads: two Runs of the same
+  // admitted query are bit-identical, per query class, even interleaved with
+  // other queries and under churn + loss + batteries — and a fresh
+  // coordinator over the same scenario/options reproduces them too.
+  QueryCoordinator::Options opt;
   opt.epochs = 12;
   opt.seed = 42;
   opt.loss_prob = 0.08;
@@ -262,7 +237,6 @@ TEST(ServerTest, ExecuteTwiceIsBitIdentical) {
   opt.enable_churn = true;
   opt.churn.crash_prob = 0.01;
   opt.churn.mean_downtime = 5;
-  KSpotServer server(Scenario::ConferenceFloor(6, 3, 5), opt);
   const char* queries[] = {
       "SELECT TOP 3 roomid, AVG(sound) FROM sensors GROUP BY roomid",
       "SELECT nodeid, sound FROM sensors WHERE sound > 40",
@@ -270,44 +244,34 @@ TEST(ServerTest, ExecuteTwiceIsBitIdentical) {
       "SELECT TOP 3 epoch, AVG(sound) FROM sensors GROUP BY epoch WITH HISTORY 64",
       "SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid WITH HISTORY 8",
   };
+  QueryCoordinator coordinator(Scenario::ConferenceFloor(6, 3, 5), opt);
+  auto run_alone = [](QueryCoordinator& coord, const char* sql) {
+    auto id = coord.Admit(sql);
+    EXPECT_TRUE(id.ok()) << sql;
+    auto report = coord.Run();
+    EXPECT_TRUE(report.ok()) << sql;
+    EXPECT_TRUE(coord.Cancel(id.value()).ok());
+    return OutcomeDigest(report.value().outcomes.at(0), report.value().total);
+  };
   std::vector<std::string> first;
-  for (const char* sql : queries) {
-    auto outcome = server.Execute(sql);
-    ASSERT_TRUE(outcome.ok()) << sql << ": " << outcome.status().message();
-    first.push_back(OutcomeDigest(outcome.value()));
-  }
+  for (const char* sql : queries) first.push_back(run_alone(coordinator, sql));
   for (size_t i = 0; i < std::size(queries); ++i) {
-    auto outcome = server.Execute(queries[i]);
-    ASSERT_TRUE(outcome.ok());
-    EXPECT_EQ(OutcomeDigest(outcome.value()), first[i]) << queries[i];
+    EXPECT_EQ(run_alone(coordinator, queries[i]), first[i]) << queries[i];
   }
-  // And a fresh server over the same scenario/options reproduces them too.
-  KSpotServer fresh(Scenario::ConferenceFloor(6, 3, 5), opt);
-  auto outcome = fresh.Execute(queries[0]);
-  ASSERT_TRUE(outcome.ok());
-  EXPECT_EQ(OutcomeDigest(outcome.value()), first[0]);
+  QueryCoordinator fresh(Scenario::ConferenceFloor(6, 3, 5), opt);
+  EXPECT_EQ(run_alone(fresh, queries[0]), first[0]);
 }
 
-TEST(ServerTest, StreamingCallbackFiresPerEpoch) {
-  KSpotServer server(Scenario::ConferenceFloor(4, 3, 5), SmallRun(6));
-  size_t calls = 0;
-  auto outcome = server.ExecuteStreaming(
-      "SELECT TOP 1 roomid, AVG(sound) FROM sensors GROUP BY roomid",
-      [&](const core::TopKResult&, const SystemPanel&) { ++calls; });
-  ASSERT_TRUE(outcome.ok());
-  EXPECT_EQ(calls, 6u);
-}
-
-TEST(ServerTest, Figure1ScenarioEndToEnd) {
-  KSpotServer::Options opt = SmallRun(3);
+TEST(ServedQueryTest, Figure1ScenarioEndToEnd) {
+  QueryCoordinator::Options opt = SmallRun(3);
   opt.make_generator = [](const Scenario&, uint64_t) {
     return std::make_unique<data::ConstantGenerator>(sim::Figure1Readings());
   };
-  KSpotServer server(Scenario::Figure1(), opt);
-  auto outcome =
-      server.Execute("SELECT TOP 1 roomid, AVERAGE(sound) FROM sensors GROUP BY roomid");
-  ASSERT_TRUE(outcome.ok()) << outcome.status().message();
-  for (const auto& epoch : outcome.value().per_epoch) {
+  auto served = ServeWithShadow(
+      Scenario::Figure1(), opt,
+      "SELECT TOP 1 roomid, AVERAGE(sound) FROM sensors GROUP BY roomid");
+  ASSERT_TRUE(served.ok()) << served.status().message();
+  for (const auto& epoch : served.value().outcome.per_epoch) {
     ASSERT_EQ(epoch.items.size(), 1u);
     EXPECT_EQ(epoch.items[0].group, 2);  // room C
     EXPECT_DOUBLE_EQ(epoch.items[0].value, 75.0);

@@ -1,10 +1,16 @@
 #pragma once
 
 #include <memory>
+#include <string>
+#include <utility>
 
 #include "core/oracle.hpp"
 #include "core/query_spec.hpp"
 #include "data/generators.hpp"
+#include "kspot/coordinator.hpp"
+#include "kspot/system_panel.hpp"
+#include "kspot/tag_shadow.hpp"
+#include "query/parser.hpp"
 #include "sim/network.hpp"
 #include "sim/routing_tree.hpp"
 #include "sim/topology.hpp"
@@ -59,5 +65,48 @@ struct TestBed {
     return bed;
   }
 };
+
+/// One query served the way the System Panel shows it: a single-query
+/// coordinator session with a TagShadow stepped beside it every epoch.
+struct ServedQuery {
+  system::QueryOutcome outcome;
+  sim::TrafficCounters cost;      ///< The session's whole radio bill.
+  sim::TrafficCounters baseline;  ///< The TAG shadow's whole radio bill.
+  system::SystemPanel panel;
+};
+
+inline util::StatusOr<ServedQuery> ServeWithShadow(const system::Scenario& scenario,
+                                                   const system::QueryCoordinator::Options& options,
+                                                   const std::string& sql) {
+  system::QueryCoordinator coordinator(scenario, options);
+  util::StatusOr<system::QueryId> admitted = coordinator.Admit(sql);
+  if (!admitted.ok()) return admitted.status();
+  system::TagShadow shadow(coordinator.deployment(), options, query::Parse(sql).value());
+  ServedQuery served;
+  util::Status opened = coordinator.Open();
+  if (!opened.ok()) return opened;
+  for (size_t e = 0; e < options.epochs; ++e) {
+    util::StatusOr<system::EpochUpdate> step = coordinator.StepEpoch();
+    if (!step.ok()) return step.status();
+    const system::EpochUpdate& update = step.value();
+    served.panel.RecordKspotEpoch(update.epoch_cost);
+    served.panel.RecordBaselineEpoch(shadow.Step(update.epoch));
+    if (options.enable_churn) {
+      system::SystemPanel::NodeStatus status;
+      status.total = scenario.nodes.size();
+      status.up = update.alive;
+      status.detached = update.detached;
+      status.repair_events = update.repair_events;
+      status.repair_messages = update.repair_messages;
+      served.panel.RecordNodeStatus(status);
+    }
+  }
+  util::StatusOr<system::CoordinatorReport> report = coordinator.Close();
+  if (!report.ok()) return report.status();
+  served.outcome = std::move(report.value().outcomes.at(0));
+  served.cost = report.value().total;
+  served.baseline = shadow.total();
+  return served;
+}
 
 }  // namespace kspot::testing

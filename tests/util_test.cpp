@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "util/bloom_filter.hpp"
-#include "util/csv_writer.hpp"
 #include "util/fixed_point.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -379,21 +378,6 @@ TEST(TablePrinterTest, AlignsColumns) {
   EXPECT_NE(s.find("23456"), std::string::npos);
   // Header separator present.
   EXPECT_NE(s.find("---"), std::string::npos);
-}
-
-TEST(CsvWriterTest, EscapesAndWrites) {
-  std::string path = ::testing::TempDir() + "/kspot_csv_test.csv";
-  {
-    CsvWriter csv(path, {"a", "b"});
-    ASSERT_TRUE(csv.ok());
-    csv.AddRow(std::vector<std::string>{"x,y", "plain"});
-  }
-  std::ifstream in(path);
-  std::string line1, line2;
-  std::getline(in, line1);
-  std::getline(in, line2);
-  EXPECT_EQ(line1, "a,b");
-  EXPECT_EQ(line2, "\"x,y\",plain");
 }
 
 }  // namespace
